@@ -1103,7 +1103,6 @@ mod tests {
 
     #[test]
     fn anomaly_guard_skips_injected_nan_step() {
-        let _fg = pmm_fault::test_guard();
         let split = tiny_split(DatasetId::HmClothes);
         let mut rng = StdRng::seed_from_u64(8);
         let mut model = PmmRec::new(tiny_cfg(), &split.dataset, &mut rng);
@@ -1128,7 +1127,6 @@ mod tests {
 
     #[test]
     fn guard_rolls_back_to_epoch_start_after_k_anomalies() {
-        let _fg = pmm_fault::test_guard();
         let split = tiny_split(DatasetId::Bili);
         let mut rng = StdRng::seed_from_u64(9);
         let mut model = PmmRec::new(tiny_cfg(), &split.dataset, &mut rng);
@@ -1157,7 +1155,6 @@ mod tests {
 
     #[test]
     fn guard_recovers_training_after_rollback() {
-        let _fg = pmm_fault::test_guard();
         let split = tiny_split(DatasetId::KwaiFood);
         let mut rng = StdRng::seed_from_u64(10);
         let mut model = PmmRec::new(tiny_cfg(), &split.dataset, &mut rng);

@@ -421,7 +421,6 @@ mod tests {
 
     #[test]
     fn injected_io_failure_is_retried_transparently() {
-        let _g = pmm_fault::test_guard();
         let world = World::new(WorldConfig::default());
         let ds = build_dataset(&world, DatasetId::KwaiFood, Scale::Tiny, 42);
         let path = tmp("retry");

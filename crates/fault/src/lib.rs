@@ -27,18 +27,40 @@
 //!   exercised deterministically.
 //!
 //! With no plan installed every trip point is a no-op costing one
-//! atomic load, so production code can call them unconditionally.
+//! thread-local lookup and one atomic load, so production code can
+//! call them unconditionally.
 //!
 //! Every fault that actually fires also bumps the per-kind
 //! `pmm_obs::counter::FAULTS_*` counter (when collection is enabled),
 //! so chaos binaries can report injection coverage by kind.
 //!
-//! Plans are process-global (faults cross crate boundaries exactly as
-//! real ones do). Tests that install plans must serialise on
-//! [`test_guard`] so parallel tests cannot observe each other's faults.
+//! ## Scoping
+//!
+//! A plan belongs to a [`Faults`] scope, not to the process. Every
+//! thread has a current scope, created empty on first use;
+//! [`install`], [`clear`], the `fired*` readers and every trip point
+//! act on the calling thread's scope. Faults still cross crate
+//! boundaries exactly as real ones do, but only along the thread that
+//! armed them, so parallel tests (or two servers in one process)
+//! never observe or consume each other's occurrences.
+//!
+//! A thread spawned on behalf of a scoped caller joins that caller's
+//! scope with [`current`] (read on the spawning thread) and [`enter`]
+//! (called first thing on the new thread). The serving supervisor does
+//! this for itself and every worker it spawns or respawns, so a server
+//! shares the scope of the thread that started it: a plan armed on
+//! that thread, before or after the server starts, reaches its workers,
+//! and they number occurrences together with it.
+//!
+//! Invariant: trip points are never consulted inside a `pmm_par`
+//! worker. Those scoped threads do not enter the caller's scope, so a
+//! trip there would silently never fire; code that needs per-chunk
+//! faults consumes its trips sequentially before dispatching (as the
+//! serving shard pool does with `shard_panic`).
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Which occurrences (0-based) of each guarded operation misbehave.
@@ -155,81 +177,113 @@ struct ActivePlan {
     fired_shard: u64,
 }
 
-/// Fast-path switch: true only while a plan is installed.
-static ARMED: AtomicBool = AtomicBool::new(false);
+/// A fault scope: at most one installed plan, its per-kind occurrence
+/// and fired counters, and the armed flag that keeps trip points cheap
+/// while nothing is installed. Clones share the scope; see the crate
+/// docs for how threads join one.
+#[derive(Debug, Clone, Default)]
+pub struct Faults(Arc<Scope>);
 
-fn active() -> &'static Mutex<Option<ActivePlan>> {
-    static ACTIVE: OnceLock<Mutex<Option<ActivePlan>>> = OnceLock::new();
-    ACTIVE.get_or_init(|| Mutex::new(None))
+#[derive(Debug, Default)]
+struct Scope {
+    /// Fast-path switch: true only while a non-empty plan is installed.
+    armed: AtomicBool,
+    active: Mutex<Option<ActivePlan>>,
 }
 
-/// Install `plan`, replacing any previous one and resetting counters.
+impl Faults {
+    fn lock(&self) -> MutexGuard<'_, Option<ActivePlan>> {
+        self.0.active.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+thread_local! {
+    static CURRENT: RefCell<Faults> = RefCell::new(Faults::default());
+}
+
+/// The calling thread's scope. Hand it to a thread spawned on this
+/// thread's behalf, which joins it with [`enter`].
+pub fn current() -> Faults {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Make `faults` the calling thread's scope: its plan, occurrence
+/// numbering, and `fired*` counts are shared from here on.
+pub fn enter(faults: Faults) {
+    CURRENT.with(|c| *c.borrow_mut() = faults);
+}
+
+/// Runs `f` on the calling thread's installed plan, if any. With
+/// `armed_only`, returns `None` after one atomic load while nothing is
+/// armed (the trip-point fast path). A thread whose locals are already
+/// torn down has no plan.
+fn with_plan<R>(armed_only: bool, f: impl FnOnce(&mut ActivePlan) -> R) -> Option<R> {
+    CURRENT
+        .try_with(|c| {
+            let faults = c.borrow();
+            if armed_only && !faults.0.armed.load(Ordering::Acquire) {
+                return None;
+            }
+            let mut active = faults.lock();
+            active.as_mut().map(f)
+        })
+        .ok()
+        .flatten()
+}
+
+/// Install `plan` in the calling thread's scope, replacing any previous
+/// one and resetting counters.
 pub fn install(plan: FaultPlan) {
-    let mut a = active().lock().unwrap();
-    ARMED.store(!plan.is_empty(), Ordering::Relaxed);
-    *a = Some(ActivePlan { plan, ..Default::default() });
+    let faults = current();
+    let mut active = faults.lock();
+    faults.0.armed.store(!plan.is_empty(), Ordering::Release);
+    *active = Some(ActivePlan { plan, ..Default::default() });
 }
 
-/// Remove the installed plan; all trip points become no-ops again.
+/// Remove the calling thread's installed plan; its trip points become
+/// no-ops again.
 pub fn clear() {
-    ARMED.store(false, Ordering::Relaxed);
-    *active().lock().unwrap() = None;
+    let faults = current();
+    let mut active = faults.lock();
+    faults.0.armed.store(false, Ordering::Release);
+    *active = None;
 }
 
 /// Counts of faults actually fired so far: `(nan, corrupt, io)`.
 pub fn fired() -> (u64, u64, u64) {
-    match active().lock().unwrap().as_ref() {
-        Some(a) => (a.fired_nan, a.fired_corrupt, a.fired_io),
-        None => (0, 0, 0),
-    }
+    with_plan(false, |a| (a.fired_nan, a.fired_corrupt, a.fired_io)).unwrap_or_default()
 }
 
 /// Counts of serving-encoder faults fired so far: `(slow, err)`.
 pub fn fired_encode() -> (u64, u64) {
-    match active().lock().unwrap().as_ref() {
-        Some(a) => (a.fired_slow, a.fired_err),
-        None => (0, 0),
-    }
+    with_plan(false, |a| (a.fired_slow, a.fired_err)).unwrap_or_default()
 }
 
 /// Counts of serving-worker faults fired so far: `(panic, stall)`.
 pub fn fired_worker() -> (u64, u64) {
-    match active().lock().unwrap().as_ref() {
-        Some(a) => (a.fired_panic, a.fired_stall),
-        None => (0, 0),
-    }
+    with_plan(false, |a| (a.fired_panic, a.fired_stall)).unwrap_or_default()
 }
 
 /// Counts of ingestion/sharding faults fired so far:
 /// `(wal_corrupt, shard_panic)`.
 pub fn fired_ingest() -> (u64, u64) {
-    match active().lock().unwrap().as_ref() {
-        Some(a) => (a.fired_wal, a.fired_shard),
-        None => (0, 0),
-    }
-}
-
-#[inline]
-fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+    with_plan(false, |a| (a.fired_wal, a.fired_shard)).unwrap_or_default()
 }
 
 /// Consume one optimisation-step occurrence; true when this step's
 /// loss should be poisoned with NaN.
 pub fn trip_nan_loss() -> bool {
-    if !armed() {
-        return false;
-    }
-    let mut guard = active().lock().unwrap();
-    let Some(a) = guard.as_mut() else { return false };
-    let n = a.steps_seen;
-    a.steps_seen += 1;
-    let hit = a.plan.nan_steps.binary_search(&n).is_ok();
-    if hit {
-        a.fired_nan += 1;
-        pmm_obs::counter::FAULTS_NAN.add(1);
-    }
-    hit
+    with_plan(true, |a| {
+        let n = a.steps_seen;
+        a.steps_seen += 1;
+        let hit = a.plan.nan_steps.binary_search(&n).is_ok();
+        if hit {
+            a.fired_nan += 1;
+            pmm_obs::counter::FAULTS_NAN.add(1);
+        }
+        hit
+    })
+    .unwrap_or(false)
 }
 
 /// What an injected serving-encoder fault does to the guarded call.
@@ -246,24 +300,22 @@ pub enum EncodeFault {
 /// should misbehave. When the same occurrence is listed under both
 /// `slow@N` and `err@N`, the error wins (it is the harsher fault).
 pub fn trip_encode() -> Option<EncodeFault> {
-    if !armed() {
-        return None;
-    }
-    let mut guard = active().lock().unwrap();
-    let a = guard.as_mut()?;
-    let n = a.encodes_seen;
-    a.encodes_seen += 1;
-    if a.plan.err_encodes.binary_search(&n).is_ok() {
-        a.fired_err += 1;
-        pmm_obs::counter::FAULTS_ERR.add(1);
-        Some(EncodeFault::Err)
-    } else if a.plan.slow_encodes.binary_search(&n).is_ok() {
-        a.fired_slow += 1;
-        pmm_obs::counter::FAULTS_SLOW.add(1);
-        Some(EncodeFault::Slow)
-    } else {
-        None
-    }
+    with_plan(true, |a| {
+        let n = a.encodes_seen;
+        a.encodes_seen += 1;
+        if a.plan.err_encodes.binary_search(&n).is_ok() {
+            a.fired_err += 1;
+            pmm_obs::counter::FAULTS_ERR.add(1);
+            Some(EncodeFault::Err)
+        } else if a.plan.slow_encodes.binary_search(&n).is_ok() {
+            a.fired_slow += 1;
+            pmm_obs::counter::FAULTS_SLOW.add(1);
+            Some(EncodeFault::Slow)
+        } else {
+            None
+        }
+    })
+    .flatten()
 }
 
 /// What an injected serving-worker fault does to the guarded request
@@ -283,98 +335,88 @@ pub enum WorkerFault {
 /// listed under both `panic@N` and `stall@N`, the panic wins (it is
 /// the harsher fault).
 pub fn trip_worker() -> Option<WorkerFault> {
-    if !armed() {
-        return None;
-    }
-    let mut guard = active().lock().unwrap();
-    let a = guard.as_mut()?;
-    let n = a.workers_seen;
-    a.workers_seen += 1;
-    if a.plan.panic_workers.binary_search(&n).is_ok() {
-        a.fired_panic += 1;
-        pmm_obs::counter::FAULTS_PANIC.add(1);
-        Some(WorkerFault::Panic)
-    } else if a.plan.stall_workers.binary_search(&n).is_ok() {
-        a.fired_stall += 1;
-        pmm_obs::counter::FAULTS_STALL.add(1);
-        Some(WorkerFault::Stall)
-    } else {
-        None
-    }
+    with_plan(true, |a| {
+        let n = a.workers_seen;
+        a.workers_seen += 1;
+        if a.plan.panic_workers.binary_search(&n).is_ok() {
+            a.fired_panic += 1;
+            pmm_obs::counter::FAULTS_PANIC.add(1);
+            Some(WorkerFault::Panic)
+        } else if a.plan.stall_workers.binary_search(&n).is_ok() {
+            a.fired_stall += 1;
+            pmm_obs::counter::FAULTS_STALL.add(1);
+            Some(WorkerFault::Stall)
+        } else {
+            None
+        }
+    })
+    .flatten()
 }
 
 /// Consume one WAL record-append occurrence; true when the frame
 /// should be torn mid-write (only a prefix of the frame reaches the
 /// log, as if the process crashed between write and fsync).
 pub fn trip_wal_corrupt() -> bool {
-    if !armed() {
-        return false;
-    }
-    let mut guard = active().lock().unwrap();
-    let Some(a) = guard.as_mut() else { return false };
-    let n = a.wal_appends_seen;
-    a.wal_appends_seen += 1;
-    let hit = a.plan.wal_corrupts.binary_search(&n).is_ok();
-    if hit {
-        a.fired_wal += 1;
-        pmm_obs::counter::FAULTS_WAL.add(1);
-    }
-    hit
+    with_plan(true, |a| {
+        let n = a.wal_appends_seen;
+        a.wal_appends_seen += 1;
+        let hit = a.plan.wal_corrupts.binary_search(&n).is_ok();
+        if hit {
+            a.fired_wal += 1;
+            pmm_obs::counter::FAULTS_WAL.add(1);
+        }
+        hit
+    })
+    .unwrap_or(false)
 }
 
 /// Consume one per-shard rank-execution occurrence; true when this
 /// shard execution should panic (the scatter-gather quarantines the
 /// shard and serves a partial result).
 pub fn trip_shard_panic() -> bool {
-    if !armed() {
-        return false;
-    }
-    let mut guard = active().lock().unwrap();
-    let Some(a) = guard.as_mut() else { return false };
-    let n = a.shard_ranks_seen;
-    a.shard_ranks_seen += 1;
-    let hit = a.plan.shard_panics.binary_search(&n).is_ok();
-    if hit {
-        a.fired_shard += 1;
-        pmm_obs::counter::FAULTS_SHARD.add(1);
-    }
-    hit
+    with_plan(true, |a| {
+        let n = a.shard_ranks_seen;
+        a.shard_ranks_seen += 1;
+        let hit = a.plan.shard_panics.binary_search(&n).is_ok();
+        if hit {
+            a.fired_shard += 1;
+            pmm_obs::counter::FAULTS_SHARD.add(1);
+        }
+        hit
+    })
+    .unwrap_or(false)
 }
 
 /// Consume one rotating-save occurrence; true when the written file
 /// should be corrupted afterwards.
 pub fn trip_corrupt_save() -> bool {
-    if !armed() {
-        return false;
-    }
-    let mut guard = active().lock().unwrap();
-    let Some(a) = guard.as_mut() else { return false };
-    let n = a.saves_seen;
-    a.saves_seen += 1;
-    let hit = a.plan.corrupt_saves.binary_search(&n).is_ok();
-    if hit {
-        a.fired_corrupt += 1;
-        pmm_obs::counter::FAULTS_CKPT.add(1);
-    }
-    hit
+    with_plan(true, |a| {
+        let n = a.saves_seen;
+        a.saves_seen += 1;
+        let hit = a.plan.corrupt_saves.binary_search(&n).is_ok();
+        if hit {
+            a.fired_corrupt += 1;
+            pmm_obs::counter::FAULTS_CKPT.add(1);
+        }
+        hit
+    })
+    .unwrap_or(false)
 }
 
 /// Consume one guarded-IO occurrence; true when its first attempt
 /// should fail.
 fn trip_io_failure() -> bool {
-    if !armed() {
-        return false;
-    }
-    let mut guard = active().lock().unwrap();
-    let Some(a) = guard.as_mut() else { return false };
-    let n = a.ios_seen;
-    a.ios_seen += 1;
-    let hit = a.plan.io_failures.binary_search(&n).is_ok();
-    if hit {
-        a.fired_io += 1;
-        pmm_obs::counter::FAULTS_IO.add(1);
-    }
-    hit
+    with_plan(true, |a| {
+        let n = a.ios_seen;
+        a.ios_seen += 1;
+        let hit = a.plan.io_failures.binary_search(&n).is_ok();
+        if hit {
+            a.fired_io += 1;
+            pmm_obs::counter::FAULTS_IO.add(1);
+        }
+        hit
+    })
+    .unwrap_or(false)
 }
 
 /// Maximum attempts [`with_io_retry`] makes (1 initial + 2 retries).
@@ -431,16 +473,6 @@ pub fn corrupt_file(path: &std::path::Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Serialises tests (and other callers) that install process-global
-/// plans. Hold the guard for the whole install..clear window.
-pub fn test_guard() -> MutexGuard<'static, ()> {
-    static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-    GUARD
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poison| poison.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,7 +490,6 @@ mod tests {
 
     #[test]
     fn encode_trips_fire_on_exact_occurrences_with_err_precedence() {
-        let _g = test_guard();
         install(FaultPlan::parse("slow@0,slow@2,err@2").unwrap());
         assert_eq!(trip_encode(), Some(EncodeFault::Slow)); // call 0
         assert_eq!(trip_encode(), None); // call 1
@@ -471,7 +502,6 @@ mod tests {
 
     #[test]
     fn worker_trips_fire_on_exact_occurrences_with_panic_precedence() {
-        let _g = test_guard();
         install(FaultPlan::parse("panic@0,stall@2,panic@2,stall@3").unwrap());
         assert_eq!(trip_worker(), Some(WorkerFault::Panic)); // execution 0
         assert_eq!(trip_worker(), None); // execution 1
@@ -501,7 +531,6 @@ mod tests {
 
     #[test]
     fn wal_and_shard_trips_fire_on_exact_occurrences() {
-        let _g = test_guard();
         install(FaultPlan::parse("wal_corrupt@1,shard_panic@0,shard_panic@2").unwrap());
         assert!(!trip_wal_corrupt()); // append 0
         assert!(trip_wal_corrupt()); // append 1
@@ -524,7 +553,6 @@ mod tests {
 
     #[test]
     fn trips_fire_on_exact_occurrences() {
-        let _g = test_guard();
         install(FaultPlan::parse("nan@1,ckpt@0").unwrap());
         assert!(!trip_nan_loss()); // step 0
         assert!(trip_nan_loss()); // step 1
@@ -538,7 +566,6 @@ mod tests {
 
     #[test]
     fn io_retry_recovers_from_injected_failure() {
-        let _g = test_guard();
         install(FaultPlan::parse("io@0").unwrap());
         let mut calls = 0;
         let out = with_io_retry("read", || {
@@ -553,7 +580,6 @@ mod tests {
 
     #[test]
     fn io_retry_surfaces_persistent_errors() {
-        let _g = test_guard();
         clear();
         let mut calls = 0;
         let out: std::io::Result<()> = with_io_retry("read", || {
@@ -562,6 +588,54 @@ mod tests {
         });
         assert!(out.is_err());
         assert_eq!(calls, IO_ATTEMPTS);
+    }
+
+    #[test]
+    fn plans_are_neither_seen_nor_consumed_by_sibling_threads() {
+        install(FaultPlan::parse("nan@0,nan@1").unwrap());
+        // A sibling running trip points while this thread's plan is
+        // armed sees none of it; its own plan is its own.
+        let sibling = std::thread::spawn(|| {
+            let stray = (0..50).filter(|_| trip_nan_loss()).count();
+            let stray_fired = fired();
+            install(FaultPlan::parse("nan@3").unwrap());
+            let own: Vec<bool> = (0..5).map(|_| trip_nan_loss()).collect();
+            (stray, stray_fired, own, fired())
+        });
+        let (stray, stray_fired, own, own_fired) = sibling.join().unwrap();
+        assert_eq!(stray, 0, "sibling thread observed this thread's plan");
+        assert_eq!(stray_fired, (0, 0, 0));
+        assert_eq!(own, vec![false, false, false, true, false]);
+        assert_eq!(own_fired, (1, 0, 0));
+        // ...and consumed none of this thread's occurrences.
+        assert!(trip_nan_loss()); // step 0
+        assert!(trip_nan_loss()); // step 1
+        assert!(!trip_nan_loss()); // step 2
+        assert_eq!(fired(), (2, 0, 0));
+        clear();
+    }
+
+    #[test]
+    fn entered_threads_share_occurrences_and_fired_counts() {
+        install(FaultPlan::parse("panic@1,wal_corrupt@0").unwrap());
+        assert_eq!(trip_worker(), None); // execution 0, here
+        let scope = current();
+        let joined = std::thread::spawn(move || {
+            enter(scope);
+            let worker = trip_worker(); // execution 1, on the joined thread
+            let wal = trip_wal_corrupt(); // append 0
+            (worker, wal, fired_worker(), fired_ingest())
+        });
+        let (worker, wal, worker_fired, ingest_fired) = joined.join().unwrap();
+        assert_eq!(worker, Some(WorkerFault::Panic));
+        assert!(wal);
+        assert_eq!(worker_fired, (1, 0));
+        assert_eq!(ingest_fired, (1, 0));
+        assert_eq!(trip_worker(), None); // execution 2, back here
+        assert!(!trip_wal_corrupt()); // append 1
+        assert_eq!(fired_worker(), (1, 0));
+        assert_eq!(fired_ingest(), (1, 0));
+        clear();
     }
 
     #[test]

@@ -182,7 +182,6 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated_and_later_segments_still_replay() {
-        let _fg = pmm_fault::test_guard();
         let dir = tmp_dir("torn_tail");
         pmm_fault::install(pmm_fault::FaultPlan::parse("wal_corrupt@2").unwrap());
         let mut wal = Wal::open(&dir).unwrap();

@@ -304,7 +304,6 @@ pub(crate) mod tests {
 
     #[test]
     fn injected_torn_write_is_unacknowledged_and_rotates_past_the_damage() {
-        let _fg = pmm_fault::test_guard();
         let dir = tmp_dir("torn");
         pmm_fault::install(pmm_fault::FaultPlan::parse("wal_corrupt@1").unwrap());
         let mut wal = Wal::open(&dir).unwrap();

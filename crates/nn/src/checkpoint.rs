@@ -637,7 +637,6 @@ mod tests {
 
     #[test]
     fn fault_plan_corrupts_scheduled_save() {
-        let _g = pmm_fault::test_guard();
         let dir = tmp("rotation_fault");
         std::fs::remove_dir_all(&dir).ok();
         let rot = CheckpointRotation::new(&dir, "m", 3).unwrap();

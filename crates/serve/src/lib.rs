@@ -39,7 +39,10 @@
 //! `--threads` / `PMM_THREADS` knob governs kernel parallelism and
 //! serving concurrency. All scheduling is deterministic given a
 //! `pmm_fault::FaultPlan` and one worker, which is how `serve_chaos`
-//! proves the ladder.
+//! proves the ladder. A plan reaches a server's threads when it is
+//! installed on the thread that started the server (before or after
+//! the start): every supervisor and worker thread enters its creator's
+//! `pmm_fault` scope, and no other thread's plan is ever seen.
 //!
 //! Every request is traced: submission mints a [`TraceId`] (re-exported
 //! from `pmm-trace`) that rides the job through every stage, each stage

@@ -332,9 +332,6 @@ mod tests {
     #[test]
     fn merge_top_k_survives_concurrent_quarantine_and_revive() {
         armed();
-        // Serialize against every fault-plan-installing test: rank()
-        // consumes the global fault plan during admission.
-        let _fg = pmm_fault::test_guard();
         let exp = explore("shard-quarantine-vs-revive", 0x5AAD_0003, 600, 200, |_| shard_case());
         assert!(exp.distinct >= 200, "only {} distinct schedules", exp.distinct);
         assert!(exp.violations.is_empty(), "merge invariants broke: {:?}", exp.violations);

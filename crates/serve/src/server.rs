@@ -990,7 +990,6 @@ mod tests {
 
     #[test]
     fn healthy_requests_serve_the_full_tier() {
-        let _fg = pmm_fault::test_guard();
         let server = Server::start(cfg(), StubEngine::full, pop());
         let resp = server.call(Request::new(1, vec![0, 1], 3)).unwrap();
         assert_eq!(resp.tier, Tier::Full);
@@ -1003,7 +1002,6 @@ mod tests {
 
     #[test]
     fn empty_prefix_is_rejected_at_submission() {
-        let _fg = pmm_fault::test_guard();
         let server = Server::start(cfg(), StubEngine::full, pop());
         let err = server.submit(Request::new(1, vec![], 3)).unwrap_err();
         assert_eq!(err, ServeError::BadRequest(RecommendError::EmptyPrefix));
@@ -1011,7 +1009,6 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_observed_depth() {
-        let _fg = pmm_fault::test_guard();
         let server = Server::start(
             ServerConfig { queue_capacity: 2, start_paused: true, ..cfg() },
             StubEngine::full,
@@ -1029,7 +1026,6 @@ mod tests {
 
     #[test]
     fn encoder_errors_walk_down_the_ladder() {
-        let _fg = pmm_fault::test_guard();
         pmm_fault::install(pmm_fault::FaultPlan::parse("err@0").unwrap());
         let server = Server::start(cfg(), StubEngine::full, pop());
         // Full: the text gate errs -> text breaker trips open; TextOnly
@@ -1045,7 +1041,6 @@ mod tests {
 
     #[test]
     fn slow_fault_cancels_at_the_encode_boundary() {
-        let _fg = pmm_fault::test_guard();
         pmm_fault::install(pmm_fault::FaultPlan::parse("slow@0").unwrap());
         let server = Server::start(
             ServerConfig {
@@ -1070,7 +1065,6 @@ mod tests {
 
     #[test]
     fn cache_then_popularity_when_every_model_path_is_down() {
-        let _fg = pmm_fault::test_guard();
         // Request 0 is healthy (occurrences 0-1); request 1 errs on
         // both surviving gates (occurrences 2-3), tripping both
         // encoder breakers.
@@ -1096,7 +1090,6 @@ mod tests {
 
     #[test]
     fn breaker_heals_through_a_half_open_probe() {
-        let _fg = pmm_fault::test_guard();
         pmm_fault::install(pmm_fault::FaultPlan::parse("err@0").unwrap());
         let server = Server::start(
             ServerConfig {
@@ -1125,7 +1118,6 @@ mod tests {
 
     #[test]
     fn responses_are_identical_at_every_worker_count() {
-        let _fg = pmm_fault::test_guard();
         // Trace ids are process-global, so compare everything but them.
         type Answer = (u64, u64, Tier, Vec<Recommendation>);
         let mut reference: Option<Vec<Answer>> = None;
@@ -1155,7 +1147,6 @@ mod tests {
 
     #[test]
     fn panicking_request_retries_onto_the_respawned_worker() {
-        let _fg = pmm_fault::test_guard();
         // Occurrence 0 (first request) panics the worker mid-request.
         pmm_fault::install(pmm_fault::FaultPlan::parse("panic@0").unwrap());
         let server = Server::start(
@@ -1183,7 +1174,6 @@ mod tests {
 
     #[test]
     fn retry_budget_exhaustion_fails_to_the_floor() {
-        let _fg = pmm_fault::test_guard();
         // Both the first attempt and its retry panic: with burst=1 and
         // ratio=0 the second panic is denied a retry and falls to the
         // model-free floor (popularity — user 9 has no cache entry).
@@ -1208,7 +1198,6 @@ mod tests {
 
     #[test]
     fn wedged_worker_is_retired_and_replaced() {
-        let _fg = pmm_fault::test_guard();
         pmm_fault::install(pmm_fault::FaultPlan::parse("stall@0").unwrap());
         let server = Server::start(
             ServerConfig {
@@ -1243,7 +1232,6 @@ mod tests {
 
     #[test]
     fn exhausted_restart_budget_degrades_to_the_floor_and_swap_revives() {
-        let _fg = pmm_fault::test_guard();
         // Every request panics; with a 1-restart budget the single
         // worker gives up after its second death.
         let many: Vec<String> = (0..20).map(|i| format!("panic@{i}")).collect();
@@ -1284,7 +1272,6 @@ mod tests {
 
     #[test]
     fn snapshot_swap_is_atomic_and_tags_epochs() {
-        let _fg = pmm_fault::test_guard();
         let server: Server<StubEngine> = Server::start(cfg(), StubEngine::full, pop());
         let before = server.call(Request::new(1, vec![0, 1], 3)).unwrap();
         assert_eq!((before.epoch, before.tier), (0, Tier::Full));
@@ -1311,7 +1298,6 @@ mod tests {
 
     #[test]
     fn sharded_serving_is_bit_identical_and_tags_full_coverage() {
-        let _fg = pmm_fault::test_guard();
         let plain = Server::start(cfg(), StubEngine::full, pop());
         let sharded = Server::start(
             ServerConfig { shards: ShardConfig { shards: Some(4), ..Default::default() }, ..cfg() },
@@ -1330,7 +1316,6 @@ mod tests {
 
     #[test]
     fn quarantined_shard_yields_a_tagged_partial_response_then_heals() {
-        let _fg = pmm_fault::test_guard();
         // The first admitted shard of the first request panics.
         pmm_fault::install(pmm_fault::FaultPlan::parse("shard_panic@0").unwrap());
         let server = Server::start(
@@ -1368,7 +1353,6 @@ mod tests {
 
     #[test]
     fn ingested_items_serve_immediately_and_fold_retires_the_delta() {
-        let _fg = pmm_fault::test_guard();
         let server = Server::start(cfg(), StubEngine::sharded, pop());
         let base = server.call(Request::new(1, vec![0, 1], 1)).unwrap();
         assert_eq!(base.items[0], Recommendation { item: 0, score: 10.0 });
@@ -1397,7 +1381,6 @@ mod tests {
 
     #[test]
     fn half_open_probe_denials_count_exactly_once_across_a_swap() {
-        let _fg = pmm_fault::test_guard();
         // Single-rung ladder: each request burns exactly one
         // text-breaker admission, so denial counts map 1:1 to
         // requests and any reset or double-count across the swap

@@ -244,7 +244,6 @@ mod tests {
 
     #[test]
     fn healthy_pool_matches_the_exhaustive_sort_at_every_shard_count() {
-        let _fg = pmm_fault::test_guard();
         let s = scores();
         let want = exhaustive(&s, 10);
         for n in [1, 2, 4, 7] {
@@ -259,7 +258,6 @@ mod tests {
 
     #[test]
     fn panicking_shard_is_quarantined_and_the_gather_stays_partial_not_panicking() {
-        let _fg = pmm_fault::test_guard();
         // Occurrence 1 = shard 1 of the first request (admissions are
         // consumed in shard order).
         pmm_fault::install(pmm_fault::FaultPlan::parse("shard_panic@1").unwrap());
@@ -291,7 +289,6 @@ mod tests {
 
     #[test]
     fn rebuild_budget_heals_then_gives_up_until_revive() {
-        let _fg = pmm_fault::test_guard();
         // Shard 0 panics on its first attempt and again on its rebuild
         // probe (occurrence 4 = shard 0 of request 2: request 1
         // consumed occurrences 0-3).
@@ -319,7 +316,6 @@ mod tests {
 
     #[test]
     fn prefix_exclusion_matches_the_exhaustive_filtered_sort() {
-        let _fg = pmm_fault::test_guard();
         let s = scores();
         let prefix = vec![3, 16, 21];
         let want: Vec<Recommendation> = exhaustive(&s, s.len())

@@ -408,7 +408,9 @@ impl SuperCtl {
 /// Boot the pool: `n_workers` supervised workers plus the supervisor
 /// thread itself. This module is the only place serve threads are
 /// spawned, so panic isolation and slot bookkeeping cannot be
-/// bypassed.
+/// bypassed. Every pool thread enters the booting thread's
+/// `pmm_fault` scope (workers respawned later inherit it through the
+/// supervisor), so a plan armed by the server's creator reaches it.
 pub(crate) fn boot<E: ServeEngine + 'static>(
     cfg: SupervisorConfig,
     deadline: Duration,
@@ -443,9 +445,13 @@ pub(crate) fn boot<E: ServeEngine + 'static>(
         let ctl = Arc::clone(&ctl);
         let shared = Arc::clone(shared);
         let snaps = Arc::clone(snaps);
+        let faults = pmm_fault::current();
         std::thread::Builder::new()
             .name("pmm-serve-super".to_string())
-            .spawn(move || run_supervisor(&ctl, &shared, &snaps))
+            .spawn(move || {
+                pmm_fault::enter(faults);
+                run_supervisor(&ctl, &shared, &snaps)
+            })
             // pmm-audit: allow(hot-unwrap) — pool startup, not the request path; a failed spawn means the server never comes up
             .expect("spawn serve supervisor")
     };
@@ -462,9 +468,13 @@ fn spawn_worker<E: ServeEngine + 'static>(
     let ctl = Arc::clone(ctl);
     let shared = Arc::clone(shared);
     let snaps = Arc::clone(snaps);
+    let faults = pmm_fault::current();
     std::thread::Builder::new()
         .name(format!("pmm-serve-{index}"))
-        .spawn(move || worker_loop(&ctl, &shared, &snaps, index, gen))
+        .spawn(move || {
+            pmm_fault::enter(faults);
+            worker_loop(&ctl, &shared, &snaps, index, gen)
+        })
         // pmm-audit: allow(hot-unwrap) — a failed thread spawn means the OS is out of resources; no in-request path reaches here
         .expect("spawn serve worker")
 }

@@ -57,7 +57,6 @@ fn popularity(ds: &pmm_data::dataset::Dataset) -> Popularity {
 
 #[test]
 fn served_topk_is_bit_identical_to_direct_calls_at_every_worker_count() {
-    let _fg = pmm_fault::test_guard();
     let ds = dataset();
     let reference = model(&ds);
     let prefixes: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![3], vec![1, 4, 2, 0], vec![5, 5]];
@@ -91,7 +90,6 @@ fn served_topk_is_bit_identical_to_direct_calls_at_every_worker_count() {
 
 #[test]
 fn int8_engines_serve_the_quantized_rank_bit_identically_at_every_worker_count() {
-    let _fg = pmm_fault::test_guard();
     let ds = dataset();
     let reference = model(&ds);
     let prefixes: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![3], vec![1, 4, 2, 0]];
@@ -127,7 +125,6 @@ fn int8_engines_serve_the_quantized_rank_bit_identically_at_every_worker_count()
 
 #[test]
 fn int8_engine_degraded_tiers_rank_through_the_quantized_path() {
-    let _fg = pmm_fault::test_guard();
     let ds = dataset();
     // Full rung errs on the text gate -> text breaker opens -> the
     // vision-only rung serves, still through the int8 catalogue.
@@ -151,7 +148,6 @@ fn int8_engine_degraded_tiers_rank_through_the_quantized_path() {
 
 #[test]
 fn injected_encoder_error_degrades_to_a_single_modality_tier() {
-    let _fg = pmm_fault::test_guard();
     let ds = dataset();
     pmm_fault::install(pmm_fault::FaultPlan::parse("err@0").unwrap());
     let ds_f = ds.clone();
@@ -180,7 +176,6 @@ fn injected_encoder_error_degrades_to_a_single_modality_tier() {
 
 #[test]
 fn panic_mid_request_resolves_and_the_respawned_worker_is_bit_identical() {
-    let _fg = pmm_fault::test_guard();
     let ds = dataset();
     let reference = model(&ds);
     let prefix = vec![0, 1, 2];
@@ -236,7 +231,6 @@ fn panic_mid_request_resolves_and_the_respawned_worker_is_bit_identical() {
 
 #[test]
 fn snapshot_swap_under_load_sheds_nothing_and_tags_epochs() {
-    let _fg = pmm_fault::test_guard();
     let ds = dataset();
     let prefix = vec![0, 1, 2];
     let old_want = model_seeded(&ds, 7).recommend_top_k(&prefix, 5, true).unwrap();

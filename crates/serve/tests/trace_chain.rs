@@ -40,7 +40,6 @@ fn model(ds: &pmm_data::dataset::Dataset) -> PmmRec {
 
 #[test]
 fn served_request_events_reconstruct_one_causal_chain() {
-    let _fg = pmm_fault::test_guard();
     pmm_obs::set_enabled(true);
     ring::clear();
 

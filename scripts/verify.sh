@@ -9,12 +9,22 @@ cargo build --release
 
 # The suite runs twice: sequential and multi-threaded kernel dispatch.
 # Parallel kernels are bit-identical by construction, so both runs must
-# pass with no test seeing a different result.
-echo "==> cargo test -q (PMM_THREADS=1)"
-PMM_THREADS=1 cargo test -q
+# pass with no test seeing a different result. --no-fail-fast keeps a
+# failing crate from hiding the results of the crates after it.
+echo "==> cargo test -q --no-fail-fast (PMM_THREADS=1)"
+PMM_THREADS=1 cargo test -q --no-fail-fast
 
-echo "==> cargo test -q (PMM_THREADS=4)"
-PMM_THREADS=4 cargo test -q
+echo "==> cargo test -q --no-fail-fast (PMM_THREADS=4)"
+PMM_THREADS=4 cargo test -q --no-fail-fast
+
+# Tests share no mutable process state (fault plans are per-thread
+# scopes), so the suite must pass every time at a high test-thread
+# count, not just usually.
+echo "==> cargo test -q --no-fail-fast -- --test-threads=8 (5 runs, zero failures)"
+for run in 1 2 3 4 5; do
+  echo "  -- run $run/5"
+  cargo test -q --no-fail-fast -- --test-threads=8
+done
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
