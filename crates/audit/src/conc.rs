@@ -622,6 +622,37 @@ fn scan_atomics(path: &str, code: &[Token], atomics: &BTreeSet<String>, raw: &mu
     }
 }
 
+/// Shortest path from `from` to `to` in the edge adjacency (BFS,
+/// deterministic via BTree ordering); `None` when unreachable.
+fn find_path<'a>(
+    adj: &BTreeMap<&'a str, BTreeSet<&'a str>>,
+    from: &'a str,
+    to: &str,
+) -> Option<Vec<String>> {
+    let mut prev: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut queue = std::collections::VecDeque::new();
+    queue.push_back(from);
+    while let Some(n) = queue.pop_front() {
+        if n == to {
+            let mut chain = vec![n.to_string()];
+            let mut cur = n;
+            while let Some(&p) = prev.get(cur) {
+                chain.push(p.to_string());
+                cur = p;
+            }
+            chain.reverse();
+            return Some(chain);
+        }
+        for &next in adj.get(n).into_iter().flatten() {
+            if next != from && !prev.contains_key(next) {
+                prev.insert(next, n);
+                queue.push_back(next);
+            }
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,35 +803,4 @@ mod tests {
         let paths: Vec<&str> = out.violations.iter().map(|v| v.path.as_str()).collect();
         assert_eq!(paths, vec!["crates/ingest/src/two.rs", "crates/serve/src/one.rs"]);
     }
-}
-
-/// Shortest path from `from` to `to` in the edge adjacency (BFS,
-/// deterministic via BTree ordering); `None` when unreachable.
-fn find_path<'a>(
-    adj: &BTreeMap<&'a str, BTreeSet<&'a str>>,
-    from: &'a str,
-    to: &str,
-) -> Option<Vec<String>> {
-    let mut prev: BTreeMap<&str, &str> = BTreeMap::new();
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(from);
-    while let Some(n) = queue.pop_front() {
-        if n == to {
-            let mut chain = vec![n.to_string()];
-            let mut cur = n;
-            while let Some(&p) = prev.get(cur) {
-                chain.push(p.to_string());
-                cur = p;
-            }
-            chain.reverse();
-            return Some(chain);
-        }
-        for &next in adj.get(n).into_iter().flatten() {
-            if next != from && !prev.contains_key(next) {
-                prev.insert(next, n);
-                queue.push_back(next);
-            }
-        }
-    }
-    None
 }

@@ -18,9 +18,11 @@
 //! breaker is configured to never trip here so every stall converts
 //! deterministically into a deadline miss rather than a tier change.
 //!
-//! Writes `BENCH_trace.json` (stage quantiles, tier counts, SLO burn
-//! rates) and, via `--metrics PATH` / `PMM_METRICS`, the
-//! Prometheus-style exposition of the end-of-run snapshot.
+//! A clean run writes `BENCH_trace.json` (stage quantiles, tier
+//! counts, SLO burn rates); a `--fault-plan` run only prints it, so the
+//! recorded file always describes the clean run. `--metrics PATH` /
+//! `PMM_METRICS` writes the Prometheus-style exposition of the
+//! end-of-run snapshot.
 
 use pmm_baselines::Popularity;
 use pmm_bench::cli::Cli;
@@ -311,9 +313,13 @@ fn main() -> Result<(), String> {
         report.ok(),
         slo_rows.join(",\n"),
     );
-    match std::fs::write("BENCH_trace.json", &json) {
-        Ok(()) => println!("trace_smoke: wrote BENCH_trace.json"),
-        Err(e) => println!("trace_smoke: cannot write BENCH_trace.json: {e}"),
+    if chaos {
+        print!("{json}");
+    } else {
+        match std::fs::write("BENCH_trace.json", &json) {
+            Ok(()) => println!("trace_smoke: wrote BENCH_trace.json"),
+            Err(e) => println!("trace_smoke: cannot write BENCH_trace.json: {e}"),
+        }
     }
     pmm_bench::obs::finish("trace_smoke");
 

@@ -47,7 +47,5 @@ pub use config::{Modality, PmmRecConfig, Precision};
 pub use guard::{AnomalyGuard, GuardConfig, GuardReport, GuardVerdict};
 pub use model::PmmRec;
 pub use rating::{RatingData, RatingHead};
-pub use recommend::{
-    merge_shard_top_k, shard_ranges, shard_top_k, PartialShards, RecommendError, Recommendation,
-};
+pub use recommend::{RecommendError, Recommendation};
 pub use transfer::TransferSetting;

@@ -18,40 +18,6 @@ pub struct Recommendation {
     pub score: f32,
 }
 
-/// Scatter-gather coverage tag: how many catalogue shards contributed
-/// to a response. `served < total` marks a partial answer (quarantined
-/// shards were skipped); the serving SLO keeps `1 - served/total`
-/// under the shard-miss budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartialShards {
-    /// Shards whose local top-k made it into the merge.
-    pub served: usize,
-    /// Shards the catalogue is partitioned into.
-    pub total: usize,
-}
-
-impl PartialShards {
-    /// Whether any shard was missing from the gather.
-    pub fn is_partial(&self) -> bool {
-        self.served < self.total
-    }
-
-    /// Fraction of shards served (1.0 for an unsharded answer).
-    pub fn coverage(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.served as f64 / self.total as f64
-        }
-    }
-}
-
-impl fmt::Display for PartialShards {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.served, self.total)
-    }
-}
-
 /// Why a serving call could not produce recommendations. Serving must
 /// never panic on bad user input, so the request-level failure modes
 /// are typed and a runtime can map them to a degraded answer or a
@@ -228,85 +194,6 @@ impl PmmRec {
         let scores = user.matmul_t(catalog, false, true);
         top_k_chunked(scores.data(), k, |item| !exclude_seen || !prefix.contains(&item))
     }
-
-    /// The full score row for scatter-gather serving: the *same*
-    /// matmul call [`PmmRec::serve_rank`] makes, exposed so a sharded
-    /// runtime can partition the top-k *selection* over score ranges
-    /// while the scoring itself stays one exhaustive product. Sharding
-    /// the selection (not the matmul) is what keeps the gather
-    /// bit-identical to the exhaustive path: slicing catalogue rows
-    /// per shard could change kernel dispatch for the product, whereas
-    /// a selection over ranges of one shared row cannot.
-    pub fn serve_scores(&self, catalog: &Tensor, user: &Tensor) -> Vec<f32> {
-        let _sp = pmm_obs::span("rank_scores");
-        user.matmul_t(catalog, false, true).data().to_vec()
-    }
-
-    /// Int8 variant of [`PmmRec::serve_scores`]: the score row
-    /// [`PmmRec::serve_rank_q`] would select from.
-    pub fn serve_scores_q(&self, qcatalog: &QTensor, user: &Tensor) -> Vec<f32> {
-        let _sp = pmm_obs::span("rank_scores_q");
-        let quser = QTensor::quantize_rows(user);
-        quser.matmul_nt(qcatalog).data().to_vec()
-    }
-}
-
-/// Partitions `n_items` into `shards` contiguous id ranges, sized
-/// within one of each other (the first `n_items % shards` ranges get
-/// the extra item). Ranges cover every id exactly once in ascending
-/// order — the property the bit-identical gather relies on.
-pub fn shard_ranges(n_items: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    let shards = shards.max(1);
-    let base = n_items / shards;
-    let extra = n_items % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    for s in 0..shards {
-        let len = base + usize::from(s < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-/// One shard's local top-k: its contiguous range of the shared score
-/// row, enumerated in ascending id, stably sorted by descending score
-/// and truncated to `k` — exactly the per-block discipline of
-/// [`top_k_chunked`], so the shard merge reproduces the exhaustive
-/// result bit for bit.
-pub fn shard_top_k(
-    scores: &[f32],
-    range: std::ops::Range<usize>,
-    prefix: &[usize],
-    k: usize,
-    exclude_seen: bool,
-) -> Vec<Recommendation> {
-    let mut local: Vec<Recommendation> = scores
-        .get(range.clone())
-        .unwrap_or(&[])
-        .iter()
-        .zip(range)
-        .map(|(&score, item)| Recommendation { item, score })
-        .filter(|r| !exclude_seen || !prefix.contains(&r.item))
-        .collect();
-    local.sort_by(|a, b| b.score.total_cmp(&a.score));
-    local.truncate(k);
-    local
-}
-
-/// Merges per-shard winners into the global top `k`. `parts` must be
-/// ordered by ascending shard range (quarantined shards simply absent):
-/// concatenation then preserves ascending item id among equal scores,
-/// and the stable descending-score sort resolves ties to the lower id
-/// exactly like a plain full-catalogue sort. Any item a shard dropped
-/// had ≥ k better-or-equal items in its own shard, so with every shard
-/// present the merge equals the exhaustive
-/// [`PmmRec::recommend_top_k`] bit for bit.
-pub fn merge_shard_top_k(parts: Vec<Vec<Recommendation>>, k: usize) -> Vec<Recommendation> {
-    let mut merged: Vec<Recommendation> = parts.into_iter().flatten().collect();
-    merged.sort_by(|a, b| b.score.total_cmp(&a.score));
-    merged.truncate(k);
-    merged
 }
 
 /// Chunked top-k over a score row: each block keeps its own top-k
@@ -431,62 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_ranges_partition_every_id_once() {
-        for (n, shards) in [(0usize, 3usize), (5, 1), (7, 4), (64, 7), (100, 7), (3, 8)] {
-            let ranges = shard_ranges(n, shards);
-            assert_eq!(ranges.len(), shards.max(1), "n={n} shards={shards}");
-            let mut next = 0usize;
-            for r in &ranges {
-                assert_eq!(r.start, next, "contiguous ascending coverage");
-                next = r.end;
-            }
-            assert_eq!(next, n, "every id covered exactly once");
-            let (min, max) = ranges
-                .iter()
-                .fold((usize::MAX, 0usize), |(lo, hi), r| (lo.min(r.len()), hi.max(r.len())));
-            assert!(max - min <= 1, "balanced within one: n={n} shards={shards}");
-        }
-    }
-
-    #[test]
-    fn shard_merge_matches_exhaustive_top_k_at_every_shard_count() {
-        let (m, ds) = model();
-        let n = ds.items.len();
-        let prefix = [0usize, 1, 2];
-        let k = 10;
-        let exhaustive = m.recommend_top_k(&prefix, k, true).unwrap();
-        let cat = m.serve_catalog(crate::Modality::Both).unwrap();
-        let user = m.serve_user_vector(&cat, &prefix).unwrap();
-        let scores = m.serve_scores(&cat, &user);
-        assert_eq!(scores.len(), n);
-        for shards in [1usize, 2, 4, 7] {
-            // At 7 shards the tiny catalogue's shards hold fewer than
-            // k items each — the merge must still be exact.
-            let parts: Vec<Vec<Recommendation>> = shard_ranges(n, shards)
-                .into_iter()
-                .map(|r| shard_top_k(&scores, r, &prefix, k, true))
-                .collect();
-            let merged = merge_shard_top_k(parts, k);
-            assert_eq!(merged, exhaustive, "shards={shards}");
-        }
-        // The int8 score row composes the same way.
-        let qcat = m.serve_catalog_q(crate::Modality::Both).unwrap();
-        let q_exhaustive = m.serve_rank_q(&qcat, &user, &prefix, k, true);
-        let q_scores = m.serve_scores_q(&qcat, &user);
-        for shards in [2usize, 7] {
-            let parts: Vec<Vec<Recommendation>> = shard_ranges(n, shards)
-                .into_iter()
-                .map(|r| shard_top_k(&q_scores, r, &prefix, k, true))
-                .collect();
-            assert_eq!(merge_shard_top_k(parts, k), q_exhaustive, "int8 shards={shards}");
-        }
-    }
-
-    #[test]
-    fn shard_merge_resolves_k_boundary_ties_like_the_exhaustive_sort() {
+    fn top_k_chunked_resolves_k_boundary_ties_like_the_exhaustive_sort() {
         // 4096 scores drawn from only 5 distinct values: the k-th slot
-        // sits inside a tie group that straddles shard boundaries, so
-        // the ascending-id tie-break is load-bearing in the merge.
+        // sits inside a tie group, so the ascending-id tie-break decides
+        // which of the tied items make the cut.
         let n = 4096usize;
         let scores: Vec<f32> = (0..n).map(|i| ((i * 2_654_435_761) % 5) as f32).collect();
         let prefix = [3usize, 7, 11];
@@ -499,14 +334,7 @@ mod tests {
                 .collect();
             naive.sort_by(|a, b| b.score.total_cmp(&a.score));
             naive.truncate(k);
-            assert_eq!(super::top_k_chunked(&scores, k, |i| !prefix.contains(&i)), naive);
-            for shards in [1usize, 2, 4, 7] {
-                let parts: Vec<Vec<Recommendation>> = shard_ranges(n, shards)
-                    .into_iter()
-                    .map(|r| shard_top_k(&scores, r, &prefix, k, true))
-                    .collect();
-                assert_eq!(merge_shard_top_k(parts, k), naive, "k={k} shards={shards}");
-            }
+            assert_eq!(super::top_k_chunked(&scores, k, |i| !prefix.contains(&i)), naive, "k={k}");
         }
     }
 

@@ -6,7 +6,7 @@
 //! skip, LR backoff, rollback, checkpoint fallback, IO retry) can be
 //! exercised reproducibly in tests and in the `chaos_smoke` binary.
 //!
-//! Five trip points are offered to the rest of the workspace:
+//! Six trip points are offered to the rest of the workspace:
 //!
 //! * [`trip_nan_loss`] — consulted once per optimisation step; when it
 //!   fires, the training loop poisons that step's loss with NaN.
@@ -25,6 +25,9 @@
 //!   (`panic@N`) or wedge (`stall@N`) so the supervisor's panic
 //!   isolation, restart budget, and heartbeat watchdog can be
 //!   exercised deterministically.
+//! * [`trip_wal_corrupt`] — consulted once per WAL record append; the
+//!   plan can tear the N-th frame mid-write (`wal_corrupt@N`) so
+//!   replay's truncate-and-count path can be exercised.
 //!
 //! With no plan installed every trip point is a no-op costing one
 //! thread-local lookup and one atomic load, so production code can
@@ -55,8 +58,8 @@
 //! Invariant: trip points are never consulted inside a `pmm_par`
 //! worker. Those scoped threads do not enter the caller's scope, so a
 //! trip there would silently never fire; code that needs per-chunk
-//! faults consumes its trips sequentially before dispatching (as the
-//! serving shard pool does with `shard_panic`).
+//! faults must consume its trips sequentially on the calling thread
+//! before dispatching the chunks.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -91,9 +94,6 @@ pub struct FaultPlan {
     /// of the frame reaches the log, simulating a crash between the
     /// write and the fsync). Replay must truncate and count the tail.
     pub wal_corrupts: Vec<u64>,
-    /// Per-shard rank executions that panic — the scatter-gather's
-    /// shard quarantine and rebuild-budget path sees these.
-    pub shard_panics: Vec<u64>,
 }
 
 impl FaultPlan {
@@ -107,15 +107,13 @@ impl FaultPlan {
             && self.panic_workers.is_empty()
             && self.stall_workers.is_empty()
             && self.wal_corrupts.is_empty()
-            && self.shard_panics.is_empty()
     }
 
     /// Parses a plan spec: comma-separated `kind@N` tokens where kind
     /// is `nan` (training step), `ckpt` (rotating save), `io` (guarded
     /// IO operation), `slow` or `err` (serving encoder call), `panic`
-    /// or `stall` (serving-worker request execution), `wal_corrupt`
-    /// (WAL record append) or `shard_panic` (per-shard rank execution),
-    /// e.g. `"nan@3,ckpt@1,io@0,slow@2,err@5,panic@3,wal_corrupt@4"`.
+    /// or `stall` (serving-worker request execution) or `wal_corrupt`
+    /// (WAL record append), e.g. `"nan@3,ckpt@1,io@0,slow@2,err@5,panic@3,wal_corrupt@4"`.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
@@ -134,10 +132,9 @@ impl FaultPlan {
                 "panic" => plan.panic_workers.push(n),
                 "stall" => plan.stall_workers.push(n),
                 "wal_corrupt" => plan.wal_corrupts.push(n),
-                "shard_panic" => plan.shard_panics.push(n),
                 other => {
                     return Err(format!(
-                        "unknown fault kind {other:?} (use nan|ckpt|io|slow|err|panic|stall|wal_corrupt|shard_panic)"
+                        "unknown fault kind {other:?} (use nan|ckpt|io|slow|err|panic|stall|wal_corrupt)"
                     ))
                 }
             }
@@ -150,7 +147,6 @@ impl FaultPlan {
         plan.panic_workers.sort_unstable();
         plan.stall_workers.sort_unstable();
         plan.wal_corrupts.sort_unstable();
-        plan.shard_panics.sort_unstable();
         Ok(plan)
     }
 }
@@ -165,7 +161,6 @@ struct ActivePlan {
     encodes_seen: u64,
     workers_seen: u64,
     wal_appends_seen: u64,
-    shard_ranks_seen: u64,
     fired_nan: u64,
     fired_corrupt: u64,
     fired_io: u64,
@@ -174,7 +169,6 @@ struct ActivePlan {
     fired_panic: u64,
     fired_stall: u64,
     fired_wal: u64,
-    fired_shard: u64,
 }
 
 /// A fault scope: at most one installed plan, its per-kind occurrence
@@ -264,10 +258,9 @@ pub fn fired_worker() -> (u64, u64) {
     with_plan(false, |a| (a.fired_panic, a.fired_stall)).unwrap_or_default()
 }
 
-/// Counts of ingestion/sharding faults fired so far:
-/// `(wal_corrupt, shard_panic)`.
-pub fn fired_ingest() -> (u64, u64) {
-    with_plan(false, |a| (a.fired_wal, a.fired_shard)).unwrap_or_default()
+/// Count of ingestion (`wal_corrupt`) faults fired so far.
+pub fn fired_ingest() -> u64 {
+    with_plan(false, |a| a.fired_wal).unwrap_or_default()
 }
 
 /// Consume one optimisation-step occurrence; true when this step's
@@ -364,23 +357,6 @@ pub fn trip_wal_corrupt() -> bool {
         if hit {
             a.fired_wal += 1;
             pmm_obs::counter::FAULTS_WAL.add(1);
-        }
-        hit
-    })
-    .unwrap_or(false)
-}
-
-/// Consume one per-shard rank-execution occurrence; true when this
-/// shard execution should panic (the scatter-gather quarantines the
-/// shard and serves a partial result).
-pub fn trip_shard_panic() -> bool {
-    with_plan(true, |a| {
-        let n = a.shard_ranks_seen;
-        a.shard_ranks_seen += 1;
-        let hit = a.plan.shard_panics.binary_search(&n).is_ok();
-        if hit {
-            a.fired_shard += 1;
-            pmm_obs::counter::FAULTS_SHARD.add(1);
         }
         hit
     })
@@ -523,25 +499,20 @@ mod tests {
 
     #[test]
     fn parse_accepts_ingest_kinds() {
-        let p = FaultPlan::parse("wal_corrupt@3, wal_corrupt@1,shard_panic@2").unwrap();
+        let p = FaultPlan::parse("wal_corrupt@3, wal_corrupt@1").unwrap();
         assert_eq!(p.wal_corrupts, vec![1, 3]);
-        assert_eq!(p.shard_panics, vec![2]);
         assert!(!p.is_empty());
     }
 
     #[test]
-    fn wal_and_shard_trips_fire_on_exact_occurrences() {
-        install(FaultPlan::parse("wal_corrupt@1,shard_panic@0,shard_panic@2").unwrap());
+    fn wal_trips_fire_on_exact_occurrences() {
+        install(FaultPlan::parse("wal_corrupt@1").unwrap());
         assert!(!trip_wal_corrupt()); // append 0
         assert!(trip_wal_corrupt()); // append 1
         assert!(!trip_wal_corrupt()); // append 2
-        assert!(trip_shard_panic()); // shard rank 0
-        assert!(!trip_shard_panic()); // shard rank 1
-        assert!(trip_shard_panic()); // shard rank 2
-        assert_eq!(fired_ingest(), (1, 2));
+        assert_eq!(fired_ingest(), 1);
         clear();
         assert!(!trip_wal_corrupt());
-        assert!(!trip_shard_panic());
     }
 
     #[test]
@@ -630,11 +601,11 @@ mod tests {
         assert_eq!(worker, Some(WorkerFault::Panic));
         assert!(wal);
         assert_eq!(worker_fired, (1, 0));
-        assert_eq!(ingest_fired, (1, 0));
+        assert_eq!(ingest_fired, 1);
         assert_eq!(trip_worker(), None); // execution 2, back here
         assert!(!trip_wal_corrupt()); // append 1
         assert_eq!(fired_worker(), (1, 0));
-        assert_eq!(fired_ingest(), (1, 0));
+        assert_eq!(fired_ingest(), 1);
         clear();
     }
 

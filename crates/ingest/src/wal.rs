@@ -312,7 +312,7 @@ pub(crate) mod tests {
         let before = fs::metadata(&torn_seg).unwrap().len();
         assert!(!wal.append(&sample_item(1)).unwrap(), "append 1 is torn");
         assert!(wal.append(&sample_item(2)).unwrap(), "append 2 is durable again");
-        let (wal_fired, _) = pmm_fault::fired_ingest();
+        let wal_fired = pmm_fault::fired_ingest();
         pmm_fault::clear();
         assert_eq!(wal_fired, 1);
         // The torn frame landed in the old segment (shorter than a

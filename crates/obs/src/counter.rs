@@ -116,8 +116,6 @@ pub static FAULTS_PANIC: Counter = Counter::new("faults_panic");
 pub static FAULTS_STALL: Counter = Counter::new("faults_stall");
 /// WAL torn-write faults fired (`wal_corrupt@N`).
 pub static FAULTS_WAL: Counter = Counter::new("faults_wal_corrupt");
-/// Shard-panic faults fired (`shard_panic@N`).
-pub static FAULTS_SHARD: Counter = Counter::new("faults_shard_panic");
 
 // --- serving-runtime counters (pmm-serve) ---
 
@@ -182,25 +180,6 @@ pub static WAL_TRUNCATED: Counter = Counter::new("wal_truncated");
 pub static INGEST_ITEMS: Counter = Counter::new("ingest_items");
 /// Delta catalogues folded into the base via a snapshot hot-swap.
 pub static INGEST_FOLDS: Counter = Counter::new("ingest_folds");
-
-// --- sharded scatter-gather counters (pmm-serve shard pool) ---
-
-/// Per-shard rank executions that panicked and were caught by the
-/// shard pool's isolation.
-pub static SERVE_SHARD_PANICS: Counter = Counter::new("serve_shard_panics");
-/// Shards quarantined after a panicking/corrupt rank execution.
-pub static SERVE_SHARD_QUARANTINES: Counter = Counter::new("serve_shard_quarantines");
-/// Quarantined shards rebuilt within the rebuild budget.
-pub static SERVE_SHARD_REBUILDS: Counter = Counter::new("serve_shard_rebuilds");
-/// Shards abandoned after exhausting their rebuild budget.
-pub static SERVE_SHARD_GIVEUPS: Counter = Counter::new("serve_shard_giveups");
-/// Shards that contributed to gathered responses (summed per request).
-pub static SERVE_SHARDS_SERVED: Counter = Counter::new("serve_shards_served");
-/// Shards asked for per gathered response (summed per request).
-pub static SERVE_SHARDS_TOTAL: Counter = Counter::new("serve_shards_total");
-/// Responses gathered from fewer shards than the full pool (tagged
-/// `PartialShards` in the response).
-pub static SERVE_PARTIAL: Counter = Counter::new("serve_partial_responses");
 
 // --- request-tracing counters (pmm-trace) ---
 
@@ -407,7 +386,6 @@ pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
         (FAULTS_PANIC.name, FAULTS_PANIC.get()),
         (FAULTS_STALL.name, FAULTS_STALL.get()),
         (FAULTS_WAL.name, FAULTS_WAL.get()),
-        (FAULTS_SHARD.name, FAULTS_SHARD.get()),
         (SERVE_REQUESTS.name, SERVE_REQUESTS.get()),
         (SERVE_SHED.name, SERVE_SHED.get()),
         (SERVE_DEADLINE_MISSES.name, SERVE_DEADLINE_MISSES.get()),
@@ -431,13 +409,6 @@ pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
         (WAL_TRUNCATED.name, WAL_TRUNCATED.get()),
         (INGEST_ITEMS.name, INGEST_ITEMS.get()),
         (INGEST_FOLDS.name, INGEST_FOLDS.get()),
-        (SERVE_SHARD_PANICS.name, SERVE_SHARD_PANICS.get()),
-        (SERVE_SHARD_QUARANTINES.name, SERVE_SHARD_QUARANTINES.get()),
-        (SERVE_SHARD_REBUILDS.name, SERVE_SHARD_REBUILDS.get()),
-        (SERVE_SHARD_GIVEUPS.name, SERVE_SHARD_GIVEUPS.get()),
-        (SERVE_SHARDS_SERVED.name, SERVE_SHARDS_SERVED.get()),
-        (SERVE_SHARDS_TOTAL.name, SERVE_SHARDS_TOTAL.get()),
-        (SERVE_PARTIAL.name, SERVE_PARTIAL.get()),
         (TRACE_EVENTS.name, TRACE_EVENTS.get()),
         (TRACE_DROPPED.name, TRACE_DROPPED.get()),
         (RACE_SCHEDULES.name, RACE_SCHEDULES.get()),
@@ -477,7 +448,6 @@ pub fn reset_counters() {
         &FAULTS_PANIC,
         &FAULTS_STALL,
         &FAULTS_WAL,
-        &FAULTS_SHARD,
         &SERVE_REQUESTS,
         &SERVE_SHED,
         &SERVE_DEADLINE_MISSES,
@@ -501,13 +471,6 @@ pub fn reset_counters() {
         &WAL_TRUNCATED,
         &INGEST_ITEMS,
         &INGEST_FOLDS,
-        &SERVE_SHARD_PANICS,
-        &SERVE_SHARD_QUARANTINES,
-        &SERVE_SHARD_REBUILDS,
-        &SERVE_SHARD_GIVEUPS,
-        &SERVE_SHARDS_SERVED,
-        &SERVE_SHARDS_TOTAL,
-        &SERVE_PARTIAL,
         &TRACE_EVENTS,
         &TRACE_DROPPED,
         &RACE_SCHEDULES,

@@ -81,17 +81,6 @@ pub trait ServeEngine {
         exclude_seen: bool,
     ) -> Vec<Recommendation>;
 
-    /// The exhaustive per-item score row for the user, in catalog
-    /// order — the input the sharded scatter-gather selects over.
-    /// `None` opts the engine out of sharding: the worker falls back
-    /// to [`ServeEngine::rank`] directly. Engines that implement both
-    /// must keep them consistent: selecting the top-k of `scores` with
-    /// the exhaustive sort must equal `rank`'s answer bit-for-bit.
-    fn scores(&self, tier: Tier, catalog: &Tensor, user: &Tensor) -> Option<Vec<f32>> {
-        let _ = (tier, catalog, user);
-        None
-    }
-
     /// Apply streamed delta items to this replica's catalog (the
     /// worker calls it between requests, before serving, whenever the
     /// shared delta log has items this replica has not seen). The
@@ -218,20 +207,6 @@ impl ServeEngine for PmmEngine {
             }
         }
         self.model.serve_rank(catalog, user, prefix, k, exclude_seen)
-    }
-
-    fn scores(&self, tier: Tier, catalog: &Tensor, user: &Tensor) -> Option<Vec<f32>> {
-        // Mirror rank()'s precision routing exactly, so the sharded
-        // selection over this row is bit-identical to the unsharded
-        // answer on both the f32 and int8 paths.
-        if self.precision == Precision::Int8 {
-            if let Some(modality) = tier_modality(tier) {
-                if let Ok(qcat) = self.model.serve_catalog_q(modality) {
-                    return Some(self.model.serve_scores_q(&qcat, user));
-                }
-            }
-        }
-        Some(self.model.serve_scores(catalog, user))
     }
 
     fn apply_delta(&mut self, items: &[Item]) {

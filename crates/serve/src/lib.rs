@@ -56,7 +56,6 @@ pub mod engine;
 pub mod queue;
 pub(crate) mod race;
 pub mod server;
-pub mod shards;
 pub mod supervisor;
 pub mod swap;
 
@@ -65,7 +64,6 @@ pub use engine::{Component, PmmEngine, ServeEngine};
 pub use pmm_trace::TraceId;
 pub use queue::BoundedQueue;
 pub use server::{Request, Response, ServeError, Server, ServerConfig};
-pub use shards::{ShardConfig, ShardHealth};
 pub use supervisor::SupervisorConfig;
 pub use swap::SwapReport;
 

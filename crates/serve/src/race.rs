@@ -2,8 +2,8 @@
 //! deterministic interleaving harness.
 //!
 //! The protocol entry points the static auditor flags as risky — reply
-//! claim vs wedge takeover, swap-epoch publish vs worker rebuild,
-//! shard quarantine vs revive — each call [`yield_point`] before
+//! claim vs wedge takeover, swap-epoch publish vs worker rebuild —
+//! each call [`yield_point`] before
 //! taking any lock. Disarmed (the production state, and every test
 //! that never arms) that is one relaxed-cost atomic load; armed, it
 //! forwards to the installed hook, which parks the thread until the
@@ -57,12 +57,9 @@ fn parked(site: &str) {
 #[cfg(test)]
 mod tests {
     use crate::server::{Response, ServeError};
-    use crate::shards::{ShardConfig, ShardHealth, ShardPool};
     use crate::supervisor::WorkerSlot;
     use crate::swap::Snapshots;
     use pmm_audit::sched::{explore, yield_here, Case, ThreadFn};
-    use pmm_trace::{Stage, Tracer};
-    use pmmrec::{PartialShards, Recommendation};
     use std::sync::{mpsc, Arc, Mutex};
     use std::time::Instant;
 
@@ -227,113 +224,5 @@ mod tests {
         assert!(msg.contains("no-epoch-pairing"), "unexpected violation: {msg}");
         let replay = explore("swap-unpaired-replay", seed, 1, 1, |_| swap_case(true));
         assert_eq!(replay.violations.len(), 1, "replay seed {seed} did not reproduce");
-    }
-
-    // --- Protocol 3: shard quarantine vs revive under rank -----------
-
-    fn exhaustive(scores: &[f32], k: usize) -> Vec<Recommendation> {
-        let mut all: Vec<Recommendation> = scores
-            .iter()
-            .enumerate()
-            .map(|(item, &score)| Recommendation { item, score })
-            .collect();
-        all.sort_by(|a, b| b.score.total_cmp(&a.score));
-        all.truncate(k);
-        all
-    }
-
-    /// A ranker scatter-gathering twice while a chaos thread
-    /// quarantines shards mid-flight and a swap thread revives the
-    /// pool — the quarantine-vs-revive protocol, plus coverage for
-    /// `merge_shard_top_k` under concurrent health transitions: on
-    /// every schedule the merge must stay sorted, duplicate-free, and
-    /// bit-identical to the exhaustive sort whenever coverage is full.
-    fn shard_case() -> Case {
-        let pool = Arc::new(ShardPool::new(ShardConfig { shards: Some(4), max_rebuilds: 1 }));
-        let results: Arc<Mutex<Vec<(Vec<Recommendation>, PartialShards)>>> =
-            Arc::new(Mutex::new(Vec::new()));
-
-        let r_pool = Arc::clone(&pool);
-        let r_results = Arc::clone(&results);
-        let ranker: ThreadFn = Box::new(move || {
-            let scores: Vec<f32> = (0..40).map(|i| ((i * 13) % 17) as f32).collect();
-            for _ in 0..2 {
-                yield_here("ranker-step");
-                let mut tracer = Tracer::start();
-                let got =
-                    r_pool.rank(&scores, &[], 10, false, &tracer.begin(Stage::Rank), &mut tracer);
-                r_results.lock().unwrap().push(got);
-            }
-        });
-
-        let c_pool = Arc::clone(&pool);
-        let chaos: ThreadFn = Box::new(move || {
-            yield_here("chaos-step");
-            c_pool.note_panic(1);
-            yield_here("chaos-step");
-            c_pool.note_panic(2);
-        });
-
-        let v_pool = Arc::clone(&pool);
-        let reviver: ThreadFn = Box::new(move || {
-            yield_here("reviver-step");
-            v_pool.revive();
-            yield_here("reviver-step");
-            let _ = v_pool.health();
-        });
-
-        let h_pool = Arc::clone(&pool);
-        Case {
-            threads: vec![ranker, chaos, reviver],
-            check: Box::new(move || {
-                let scores: Vec<f32> = (0..40).map(|i| ((i * 13) % 17) as f32).collect();
-                let want_full = exhaustive(&scores, 10);
-                let runs = results.lock().unwrap();
-                if runs.len() != 2 {
-                    return Err(format!("ranker completed {} of 2 rank calls", runs.len()));
-                }
-                for (recs, cov) in runs.iter() {
-                    if recs.len() > 10 {
-                        return Err(format!("merge returned {} > k items", recs.len()));
-                    }
-                    for pair in recs.windows(2) {
-                        if pair[1].score > pair[0].score {
-                            return Err("merge output not sorted by score".to_string());
-                        }
-                    }
-                    let mut items: Vec<usize> = recs.iter().map(|r| r.item).collect();
-                    items.sort_unstable();
-                    items.dedup();
-                    if items.len() != recs.len() {
-                        return Err("merge output contains duplicate items".to_string());
-                    }
-                    if cov.total != 4 || cov.served > cov.total {
-                        return Err(format!("incoherent coverage {cov:?}"));
-                    }
-                    if cov.served == cov.total && *recs != want_full {
-                        return Err("full coverage but merge differs from exhaustive".to_string());
-                    }
-                }
-                // Whatever interleaved, every shard must land on a
-                // legal rung of the ladder.
-                for h in h_pool.health() {
-                    match h {
-                        ShardHealth::Healthy | ShardHealth::Quarantined | ShardHealth::GivenUp => {}
-                    }
-                }
-                Ok(())
-            }),
-        }
-    }
-
-    /// Satellite coverage: `merge_shard_top_k` stays correct while
-    /// quarantine and revive race the scatter-gather. Seed-pinned —
-    /// the sweep is deterministic end to end.
-    #[test]
-    fn merge_top_k_survives_concurrent_quarantine_and_revive() {
-        armed();
-        let exp = explore("shard-quarantine-vs-revive", 0x5AAD_0003, 600, 200, |_| shard_case());
-        assert!(exp.distinct >= 200, "only {} distinct schedules", exp.distinct);
-        assert!(exp.violations.is_empty(), "merge invariants broke: {:?}", exp.violations);
     }
 }

@@ -22,7 +22,6 @@
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::engine::{Component, ServeEngine};
 use crate::queue::BoundedQueue;
-use crate::shards::{ShardConfig, ShardHealth, ShardPool};
 use crate::supervisor::{self, SuperCtl, SupervisorConfig, WorkerSlot};
 use crate::swap::{Snapshots, SwapReport};
 use crate::Tier;
@@ -30,17 +29,12 @@ use pmm_baselines::Popularity;
 use pmm_data::world::Item;
 use pmm_obs::counter as ctr;
 use pmm_trace::{hist, Stage, StageClock, TraceId, Tracer};
-use pmmrec::{PartialShards, RecommendError, Recommendation};
+use pmmrec::{RecommendError, Recommendation};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Full-coverage tag for answers that never went through the shard
-/// pool (floor tiers, engines without a score row): zero of zero
-/// shards missing, `is_partial() == false`, coverage 1.0.
-const UNSHARDED: PartialShards = PartialShards { served: 0, total: 0 };
 
 /// Server tuning.
 #[derive(Debug, Clone, Copy)]
@@ -65,9 +59,6 @@ pub struct ServerConfig {
     /// Supervision tuning: restart budgets, wedge threshold, retry
     /// budget.
     pub supervisor: SupervisorConfig,
-    /// Scatter-gather tuning: shard count (shard-per-core by default)
-    /// and the per-shard quarantine rebuild budget.
-    pub shards: ShardConfig,
     /// Start with consumers paused (deterministic overflow tests);
     /// release with [`Server::set_paused`].
     pub start_paused: bool,
@@ -83,7 +74,6 @@ impl Default for ServerConfig {
             stall_fault: Duration::from_secs(2),
             breaker: BreakerConfig::default(),
             supervisor: SupervisorConfig::default(),
-            shards: ShardConfig::default(),
             start_paused: false,
         }
     }
@@ -128,12 +118,6 @@ pub struct Response {
     /// answers carry the epoch current when they were served), so
     /// hot-swap tests can prove which snapshot a response came from.
     pub epoch: u64,
-    /// Shard coverage of the answer: how many catalog shards the
-    /// scatter-gather actually served out of how many exist.
-    /// `is_partial()` means quarantined/given-up shards were skipped
-    /// and the ranking covered only part of the catalog; `0/0` tags
-    /// answers that never went through the shard pool (floor tiers).
-    pub shards: PartialShards,
     /// The ranked items.
     pub items: Vec<Recommendation>,
 }
@@ -241,7 +225,6 @@ pub(crate) struct Shared {
     pub(crate) breakers: [Mutex<CircuitBreaker>; 3],
     pub(crate) cache: Mutex<HashMap<u64, Vec<Recommendation>>>,
     pub(crate) popularity: Popularity,
-    pub(crate) shards: ShardPool,
     pub(crate) delta: Mutex<DeltaState>,
     pub(crate) slow_fault: Duration,
     pub(crate) stall_fault: Duration,
@@ -316,7 +299,6 @@ impl<E: ServeEngine + 'static> Server<E> {
             ],
             cache: Mutex::new(HashMap::new()),
             popularity,
-            shards: ShardPool::new(cfg.shards),
             delta: Mutex::new(DeltaState { items: Vec::new(), start: 0 }),
             slow_fault: cfg.slow_fault,
             stall_fault: cfg.stall_fault,
@@ -407,10 +389,8 @@ impl<E: ServeEngine + 'static> Server<E> {
         let epoch = self.snaps.publish(factory, delta_cut);
         ctr::SERVE_SWAPS.add(1);
         // A new snapshot is new code as far as crash loops are
-        // concerned: abandoned slots and quarantined shards both get a
-        // fresh budget.
+        // concerned: abandoned slots get a fresh budget.
         self.ctl.revive();
-        self.shared.shards.revive();
         // Wake idle workers so they notice the epoch without waiting
         // for traffic.
         self.shared.queue.poke();
@@ -503,16 +483,6 @@ impl<E: ServeEngine + 'static> Server<E> {
         report
     }
 
-    /// Per-shard health of the scatter-gather pool, shard order.
-    pub fn shard_health(&self) -> Vec<ShardHealth> {
-        self.shared.shards.health()
-    }
-
-    /// Number of catalog shards the scatter-gather ranks over.
-    pub fn shard_count(&self) -> usize {
-        self.shared.shards.len()
-    }
-
     /// Whether every worker slot has exhausted its restart budget and
     /// the supervisor is serving the model-free floor directly. A
     /// [`Server::swap_snapshot`] revives a degraded pool.
@@ -597,7 +567,6 @@ fn deadline_miss(
     let _ = job.reply.send(Err(ServeError::DeadlineExceeded { stage }));
 }
 
-#[allow(clippy::too_many_arguments)]
 fn respond(
     shared: &Shared,
     ctx: &ReplyCtx<'_>,
@@ -605,7 +574,6 @@ fn respond(
     request_clock: StageClock,
     job: &Job,
     tier: Tier,
-    shards: PartialShards,
     items: Vec<Recommendation>,
 ) {
     if !ctx.claim() {
@@ -629,7 +597,6 @@ fn respond(
         user: job.request.user,
         tier,
         epoch: ctx.epoch,
-        shards,
         items,
     }));
 }
@@ -657,7 +624,7 @@ pub(crate) fn respond_floor(
     let cached = lock_clean(&shared.cache).get(&req.user).cloned();
     if let Some(mut items) = cached {
         items.truncate(req.k);
-        respond(shared, ctx, tracer, request_clock, job, Tier::CachedTopK, UNSHARDED, items);
+        respond(shared, ctx, tracer, request_clock, job, Tier::CachedTopK, items);
         return;
     }
     tracer.instant(Stage::Tier, "attempt", Tier::Popularity.label());
@@ -668,7 +635,7 @@ pub(crate) fn respond_floor(
         .into_iter()
         .map(|(item, count)| Recommendation { item, score: count as f32 })
         .collect();
-    respond(shared, ctx, tracer, request_clock, job, Tier::Popularity, UNSHARDED, items);
+    respond(shared, ctx, tracer, request_clock, job, Tier::Popularity, items);
 }
 
 /// Runs one request through the ladder. Every exit path sends exactly
@@ -804,24 +771,14 @@ pub(crate) fn attempt_request<E: ServeEngine>(
             return;
         }
 
-        // Stage 3: rank. Engines that expose an exhaustive score row
-        // rank through the sharded scatter-gather (bit-identical to
-        // the exhaustive sort, partial under shard quarantine); the
-        // rest rank directly and are tagged unsharded.
+        // Stage 3: rank.
         let clock = tracer.begin(Stage::Rank);
-        let (items, coverage) = match engine.scores(tier, &encoded.catalog, &user) {
-            Some(scores) => {
-                shared.shards.rank(&scores, &req.prefix, req.k, req.exclude_seen, &clock, tracer)
-            }
-            None => (
-                engine.rank(tier, &encoded.catalog, &user, &req.prefix, req.k, req.exclude_seen),
-                UNSHARDED,
-            ),
-        };
+        let items =
+            engine.rank(tier, &encoded.catalog, &user, &req.prefix, req.k, req.exclude_seen);
         tracer.finish(clock, "ok", tier.label());
         slot.stamp();
         lock_clean(breaker_of(shared, Component::Ranker)).record(true);
-        respond(shared, &ctx, tracer, request_clock, job, tier, coverage, items);
+        respond(shared, &ctx, tracer, request_clock, job, tier, items);
         return;
     }
 
@@ -837,13 +794,11 @@ mod tests {
     /// A model-free engine with the same fault-gate behaviour as the
     /// real one: catalogue scores descend with item id and carry a
     /// per-rung offset so tests can tell tiers apart by score.
-    /// `sharded` opts into the score-row path (scatter-gather);
     /// `delta` counts items streamed in via `apply_delta`, growing the
     /// catalogue so ingest tests can observe base + delta serving.
     struct StubEngine {
         n: usize,
         rungs: Vec<Tier>,
-        sharded: bool,
         delta: usize,
     }
 
@@ -852,13 +807,8 @@ mod tests {
             StubEngine {
                 n: 10,
                 rungs: vec![Tier::Full, Tier::TextOnly, Tier::VisionOnly],
-                sharded: false,
                 delta: 0,
             }
-        }
-
-        fn sharded() -> StubEngine {
-            StubEngine { sharded: true, ..StubEngine::full() }
         }
     }
 
@@ -939,14 +889,6 @@ mod tests {
             all.sort_by(|a, b| b.score.total_cmp(&a.score));
             all.truncate(k);
             all
-        }
-
-        fn scores(&self, _tier: Tier, catalog: &Tensor, user: &Tensor) -> Option<Vec<f32>> {
-            if !self.sharded {
-                return None;
-            }
-            let u = user.data()[0];
-            Some(catalog.data().iter().map(|&s| s * u).collect())
         }
 
         fn apply_delta(&mut self, items: &[Item]) {
@@ -1297,63 +1239,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_serving_is_bit_identical_and_tags_full_coverage() {
-        let plain = Server::start(cfg(), StubEngine::full, pop());
-        let sharded = Server::start(
-            ServerConfig { shards: ShardConfig { shards: Some(4), ..Default::default() }, ..cfg() },
-            StubEngine::sharded,
-            pop(),
-        );
-        for (user, k) in [(1u64, 3usize), (2, 7), (3, 10), (4, 25)] {
-            let want = plain.call(Request::new(user, vec![0, 1], k)).unwrap();
-            let got = sharded.call(Request::new(user, vec![0, 1], k)).unwrap();
-            assert_eq!(want.shards, UNSHARDED, "rank-path answers are tagged unsharded");
-            assert_eq!(got.shards, PartialShards { served: 4, total: 4 });
-            assert!(!got.shards.is_partial());
-            assert_eq!(got.items, want.items, "scatter-gather == exhaustive rank, k={k}");
-        }
-    }
-
-    #[test]
-    fn quarantined_shard_yields_a_tagged_partial_response_then_heals() {
-        // The first admitted shard of the first request panics.
-        pmm_fault::install(pmm_fault::FaultPlan::parse("shard_panic@0").unwrap());
-        let server = Server::start(
-            ServerConfig { shards: ShardConfig { shards: Some(4), ..Default::default() }, ..cfg() },
-            StubEngine::sharded,
-            pop(),
-        );
-        let partial = server.call(Request::new(1, vec![0, 1], 8)).unwrap();
-        assert_eq!(partial.tier, Tier::Full, "a quarantined shard degrades, never errors");
-        assert_eq!(partial.shards, PartialShards { served: 3, total: 4 });
-        assert!(partial.shards.is_partial());
-        assert!((partial.shards.coverage() - 0.75).abs() < 1e-9);
-        assert_eq!(
-            server.shard_health(),
-            vec![
-                ShardHealth::Quarantined,
-                ShardHealth::Healthy,
-                ShardHealth::Healthy,
-                ShardHealth::Healthy
-            ]
-        );
-        // Shard 0 covers items 0-2 (10 items over 4 shards: 3|3|2|2),
-        // so the partial answer is the exhaustive top-k minus them.
-        let served: Vec<usize> = partial.items.iter().map(|r| r.item).collect();
-        assert_eq!(served, vec![3, 4, 5, 6, 7, 8, 9]);
-        // The next request probes the quarantined shard, rebuilds it,
-        // and full coverage returns.
-        let healed = server.call(Request::new(2, vec![0, 1], 8)).unwrap();
-        pmm_fault::clear();
-        assert_eq!(healed.shards, PartialShards { served: 4, total: 4 });
-        let ids: Vec<usize> = healed.items.iter().map(|r| r.item).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        assert!(server.shard_health().iter().all(|h| *h == ShardHealth::Healthy));
-    }
-
-    #[test]
     fn ingested_items_serve_immediately_and_fold_retires_the_delta() {
-        let server = Server::start(cfg(), StubEngine::sharded, pop());
+        let server = Server::start(cfg(), StubEngine::full, pop());
         let base = server.call(Request::new(1, vec![0, 1], 1)).unwrap();
         assert_eq!(base.items[0], Recommendation { item: 0, score: 10.0 });
         // Stream three items in: the very next request ranks over
@@ -1367,7 +1254,7 @@ mod tests {
         assert_eq!(grown.items[0], Recommendation { item: 0, score: 13.0 });
         // Fold: publish a base that already contains the delta. The
         // log drains, the epoch moves, and answers are unchanged.
-        let report = server.fold_delta(|| StubEngine { n: 13, ..StubEngine::sharded() });
+        let report = server.fold_delta(|| StubEngine { n: 13, ..StubEngine::full() });
         assert_eq!(report.epoch, 1);
         assert_eq!(server.delta_len(), 0, "the fold retired the delta log");
         let folded = server.call(Request::new(3, vec![0, 1], 1)).unwrap();

@@ -1,6 +1,6 @@
 //! End-to-end serving over the real model: served responses must be
 //! bit-identical to direct `recommend_top_k` calls at every worker
-//! count, injected encoder faults must walk the ladder, a worker
+//! count over generated inputs, injected encoder faults must walk the ladder, a worker
 //! panic mid-request must resolve through supervision, and a snapshot
 //! hot-swap under load must not shed a request.
 
@@ -10,7 +10,7 @@ use pmm_serve::{
 };
 use pmmrec::{PmmRec, PmmRecConfig};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 fn dataset() -> pmm_data::dataset::Dataset {
@@ -55,14 +55,50 @@ fn popularity(ds: &pmm_data::dataset::Dataset) -> Popularity {
     Popularity::from_sequences(ds.items.len(), &ds.sequences)
 }
 
+/// One served-vs-direct input: prefix, k, exclude_seen.
+type Case = (Vec<usize>, usize, bool);
+
+/// Served-vs-direct inputs: the hand-picked prefixes plus one generated
+/// case per `k` in `1..=n + 3`, drawn from a fixed seed so a failure
+/// replays. Generated prefixes repeat items and run past `max_len`, and
+/// `exclude_seen` goes both ways.
+fn cases(n: usize, max_len: usize) -> Vec<Case> {
+    let mut rng = StdRng::seed_from_u64(0x5E2E_D7A1);
+    let mut cases: Vec<Case> = [vec![0, 1, 2], vec![3], vec![1, 4, 2, 0], vec![5, 5]]
+        .into_iter()
+        .map(|p| (p, 5, true))
+        .collect();
+    for k in 1..=n + 3 {
+        let len = rng.random_range(1..=2 * max_len);
+        let mut prefix: Vec<usize> = Vec::with_capacity(len);
+        while prefix.len() < len {
+            let item = if !prefix.is_empty() && rng.random_bool(0.3) {
+                prefix[rng.random_range(0..prefix.len())]
+            } else {
+                rng.random_range(0..n)
+            };
+            prefix.push(item);
+        }
+        cases.push((prefix, k, rng.random_bool(0.5)));
+    }
+    // The shapes the generator exists to cover must actually occur.
+    assert!(cases.iter().any(|(p, ..)| p.len() > max_len), "no prefix past max_len");
+    assert!(
+        cases.iter().any(|(p, ..)| (1..p.len()).any(|i| p[..i].contains(&p[i]))),
+        "no prefix with a repeated item"
+    );
+    assert!(cases.iter().any(|c| !c.2), "exclude_seen=false never drawn");
+    cases
+}
+
 #[test]
 fn served_topk_is_bit_identical_to_direct_calls_at_every_worker_count() {
     let ds = dataset();
     let reference = model(&ds);
-    let prefixes: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![3], vec![1, 4, 2, 0], vec![5, 5]];
-    let direct: Vec<Vec<pmmrec::Recommendation>> = prefixes
+    let cases = cases(ds.items.len(), reference.config().max_len);
+    let direct: Vec<Vec<pmmrec::Recommendation>> = cases
         .iter()
-        .map(|p| reference.recommend_top_k(p, 5, true).unwrap())
+        .map(|(p, k, exclude)| reference.recommend_top_k(p, *k, *exclude).unwrap())
         .collect();
 
     for workers in [1usize, 2, 4] {
@@ -72,17 +108,17 @@ fn served_topk_is_bit_identical_to_direct_calls_at_every_worker_count() {
             move || PmmEngine::new(model(&ds_f)),
             popularity(&ds),
         );
-        for (p, want) in prefixes.iter().zip(&direct) {
+        for ((p, k, exclude), want) in cases.iter().zip(&direct) {
             let resp = server.call(Request {
                 user: 1,
                 prefix: p.clone(),
-                k: 5,
-                exclude_seen: true,
+                k: *k,
+                exclude_seen: *exclude,
                 deadline: None,
             })
             .unwrap();
             assert_eq!(resp.tier, Tier::Full, "workers={workers}");
-            assert_eq!(&resp.items, want, "workers={workers} prefix={p:?}");
+            assert_eq!(&resp.items, want, "workers={workers} prefix={p:?} k={k} exclude={exclude}");
         }
         server.shutdown();
     }
@@ -92,16 +128,18 @@ fn served_topk_is_bit_identical_to_direct_calls_at_every_worker_count() {
 fn int8_engines_serve_the_quantized_rank_bit_identically_at_every_worker_count() {
     let ds = dataset();
     let reference = model(&ds);
-    let prefixes: Vec<Vec<usize>> = vec![vec![0, 1, 2], vec![3], vec![1, 4, 2, 0]];
-    let direct: Vec<Vec<pmmrec::Recommendation>> = prefixes
+    let cases = cases(ds.items.len(), reference.config().max_len);
+    let direct: Vec<Vec<pmmrec::Recommendation>> = cases
         .iter()
-        .map(|p| reference.recommend_top_k_with(pmmrec::Precision::Int8, p, 5, true).unwrap())
+        .map(|(p, k, exclude)| {
+            reference.recommend_top_k_with(pmmrec::Precision::Int8, p, *k, *exclude).unwrap()
+        })
         .collect();
     // The quantized path must actually differ in score somewhere from
     // f32, otherwise this test would pass with the knob unwired.
-    let f32_scores: Vec<Vec<pmmrec::Recommendation>> = prefixes
+    let f32_scores: Vec<Vec<pmmrec::Recommendation>> = cases
         .iter()
-        .map(|p| reference.recommend_top_k(p, 5, true).unwrap())
+        .map(|(p, k, exclude)| reference.recommend_top_k(p, *k, *exclude).unwrap())
         .collect();
     assert_ne!(direct, f32_scores, "int8 scores should not be byte-copies of f32");
 
@@ -112,12 +150,18 @@ fn int8_engines_serve_the_quantized_rank_bit_identically_at_every_worker_count()
             move || PmmEngine::with_precision(model(&ds_f), pmmrec::Precision::Int8),
             popularity(&ds),
         );
-        for (p, want) in prefixes.iter().zip(&direct) {
+        for ((p, k, exclude), want) in cases.iter().zip(&direct) {
             let resp = server
-                .call(Request { user: 1, prefix: p.clone(), k: 5, exclude_seen: true, deadline: None })
+                .call(Request {
+                    user: 1,
+                    prefix: p.clone(),
+                    k: *k,
+                    exclude_seen: *exclude,
+                    deadline: None,
+                })
                 .unwrap();
             assert_eq!(resp.tier, Tier::Full, "workers={workers}");
-            assert_eq!(&resp.items, want, "workers={workers} prefix={p:?}");
+            assert_eq!(&resp.items, want, "workers={workers} prefix={p:?} k={k} exclude={exclude}");
         }
         server.shutdown();
     }

@@ -7,7 +7,7 @@
 //! lives in its own integration-test binary with a single `#[test]`.
 
 use pmm_baselines::Popularity;
-use pmm_serve::{BreakerConfig, PmmEngine, Request, Server, ServerConfig, ShardConfig, Tier};
+use pmm_serve::{BreakerConfig, PmmEngine, Request, Server, ServerConfig, Tier};
 use pmm_trace::{ring, TraceEvent};
 use pmmrec::{PmmRec, PmmRecConfig};
 use rand::rngs::StdRng;
@@ -49,9 +49,6 @@ fn served_request_events_reconstruct_one_causal_chain() {
     let server = Server::start(
         ServerConfig {
             workers: Some(1),
-            // One shard: the scatter-gather contributes exactly one
-            // deterministic shard event to the chain.
-            shards: ShardConfig { shards: Some(1), ..Default::default() },
             deadline: Duration::from_secs(60),
             breaker: BreakerConfig { window: 4, trip_failures: 1, cooldown_denials: 1000 },
             ..ServerConfig::default()
@@ -91,7 +88,6 @@ fn served_request_events_reconstruct_one_causal_chain() {
             "tier",
             "encode",
             "user_encode",
-            "shard",
             "rank",
             "respond",
             "request"
@@ -101,28 +97,26 @@ fn served_request_events_reconstruct_one_causal_chain() {
     assert_eq!(chain[0].outcome, "accepted");
     assert!(chain[0].detail.starts_with("depth="), "enqueue records the queue depth");
     assert_eq!(chain[2].detail, Tier::Full.label(), "the attempted rung is recorded");
-    assert_eq!(chain[5].detail, "shard=0", "the scatter-gather records its one shard");
-    let respond = &chain[7];
+    let respond = &chain[6];
     assert_eq!(respond.outcome, "ok");
     assert_eq!(respond.detail, Tier::Full.label(), "the reply is tier-tagged");
 
     // Timed stages carry durations; the worker-side chain is causally
     // ordered in time. Excluded: enqueue (submitter clock), queue_wait
-    // (start backdated by its duration), the shard event (observed
-    // with a measured duration but a backdated start), and the
-    // trailing request event (emitted last, started at handler entry).
-    for e in [&chain[3], &chain[4], &chain[6], &chain[8]] {
+    // (start backdated by its duration), and the trailing request
+    // event (emitted last, started at handler entry).
+    for e in [&chain[3], &chain[4], &chain[5], &chain[7]] {
         assert!(e.dur_ns > 0, "{} records a duration", e.stage);
     }
     assert!(
-        chain[2..5].windows(2).all(|w| w[0].start_ns <= w[1].start_ns),
+        chain[2..6].windows(2).all(|w| w[0].start_ns <= w[1].start_ns),
         "worker events are time-ordered: {chain:#?}",
     );
     // The request event spans its stages: it starts no later than the
     // encode stage and lasts at least as long as encode + rank.
-    let request = &chain[8];
+    let request = &chain[7];
     assert!(request.start_ns <= chain[3].start_ns);
-    assert!(request.dur_ns >= chain[3].dur_ns + chain[6].dur_ns);
+    assert!(request.dur_ns >= chain[3].dur_ns + chain[5].dur_ns);
 
     pmm_obs::set_enabled(false);
 }

@@ -76,9 +76,6 @@ pub enum Stage {
     Swap,
     /// Durable item ingestion: a WAL append (or replay/fold decision).
     Ingest,
-    /// One shard of the scatter-gather rank: its local score + top-k,
-    /// or a quarantine/rebuild decision for the shard slot.
-    Shard,
 }
 
 impl Stage {
@@ -98,7 +95,6 @@ impl Stage {
             Stage::Restart => "restart",
             Stage::Swap => "swap",
             Stage::Ingest => "ingest",
-            Stage::Shard => "shard",
         }
     }
 
@@ -126,7 +122,6 @@ impl Stage {
             Stage::Rank => Some(&hist::H_RANK),
             Stage::Swap => Some(&hist::H_SWAP_DRAIN),
             Stage::Ingest => Some(&hist::H_INGEST),
-            Stage::Shard => Some(&hist::H_SHARD_RANK),
             _ => None,
         }
     }
@@ -217,25 +212,6 @@ impl Tracer {
         }
         let dur_ns = dur.as_nanos() as u64;
         self.emit(stage, now_ns().saturating_sub(dur_ns), dur_ns, outcome, detail);
-    }
-
-    /// Record one of several concurrent measurements anchored at an
-    /// enclosing [`StageClock`] (e.g. per-shard scatter timings inside
-    /// the rank stage): the event takes the anchor's start and the
-    /// measured duration, so sibling events that overlapped in time
-    /// keep non-decreasing start times in the causal chain.
-    pub fn observe_at(
-        &mut self,
-        stage: Stage,
-        anchor: &StageClock,
-        dur: Duration,
-        outcome: &'static str,
-        detail: &str,
-    ) {
-        if let Some(h) = stage.histogram() {
-            h.observe(dur);
-        }
-        self.emit(stage, anchor.start_ns, dur.as_nanos() as u64, outcome, detail);
     }
 
     /// Emit a zero-duration decision event (enqueue outcome, breaker

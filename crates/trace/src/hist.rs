@@ -194,8 +194,6 @@ pub static H_TOTAL: Histogram = Histogram::new("request_total_ns");
 pub static H_SWAP_DRAIN: Histogram = Histogram::new("swap_drain_ns");
 /// Durable item ingestion: WAL append (frame, CRC, fsync) per item.
 pub static H_INGEST: Histogram = Histogram::new("stage_ingest_ns");
-/// One shard's slice of the scatter-gather rank (score + local top-k).
-pub static H_SHARD_RANK: Histogram = Histogram::new("stage_shard_rank_ns");
 
 fn registry() -> &'static Mutex<Vec<&'static Histogram>> {
     static REGISTRY: OnceLock<Mutex<Vec<&'static Histogram>>> = OnceLock::new();
@@ -208,7 +206,6 @@ fn registry() -> &'static Mutex<Vec<&'static Histogram>> {
             &H_TOTAL,
             &H_SWAP_DRAIN,
             &H_INGEST,
-            &H_SHARD_RANK,
         ])
     })
 }
@@ -337,7 +334,6 @@ mod tests {
             "request_total_ns",
             "swap_drain_ns",
             "stage_ingest_ns",
-            "stage_shard_rank_ns",
         ] {
             assert_eq!(names.iter().filter(|n| **n == want).count(), 1, "{want}");
         }

@@ -35,11 +35,6 @@ pub struct SloPolicy {
     /// window (epoch flip until every live worker adopted the new
     /// snapshot).
     pub max_swap_drain_ns: u64,
-    /// Fraction of catalog shards missing from scatter-gather answers
-    /// (quarantined / given-up shards). 0.25 keeps the ≥ 75% coverage
-    /// floor: a partial answer is acceptable, a mostly-dark catalog is
-    /// not.
-    pub max_shard_miss_rate: f64,
 }
 
 impl Default for SloPolicy {
@@ -51,7 +46,6 @@ impl Default for SloPolicy {
             max_floor_frac: 0.50,
             max_restart_rate: 0.20,
             max_swap_drain_ns: 5_000_000_000,
-            max_shard_miss_rate: 0.25,
         }
     }
 }
@@ -154,16 +148,6 @@ pub fn evaluate(window: &MetricsSnapshot, policy: &SloPolicy) -> SloReport {
             name: "swap_drain_ns",
             value: window.counter("serve_swap_drain_ns") as f64,
             threshold: policy.max_swap_drain_ns as f64,
-        },
-        SloCheck {
-            name: "shard_miss_rate",
-            value: rate(
-                window
-                    .counter("serve_shards_total")
-                    .saturating_sub(window.counter("serve_shards_served")),
-                window.counter("serve_shards_total"),
-            ),
-            threshold: policy.max_shard_miss_rate,
         },
     ];
     let report = SloReport { checks };
@@ -278,31 +262,6 @@ mod tests {
         let report = evaluate(&w, &SloPolicy::default());
         let names: Vec<&str> = report.breaches().iter().map(|c| c.name).collect();
         assert_eq!(names, vec!["swap_drain_ns"]);
-    }
-
-    #[test]
-    fn shard_coverage_floor_breaches_past_one_quarter_missing() {
-        // 4 requests × 4 shards, one shard quarantined throughout:
-        // 25% missing sits exactly at the budget and passes.
-        let at_floor = window(vec![
-            ("serve_requests", 4),
-            ("serve_tier_full", 4),
-            ("serve_shards_served", 12),
-            ("serve_shards_total", 16),
-        ]);
-        assert!(evaluate(&at_floor, &SloPolicy::default()).ok());
-        // Two of four shards dark: 50% missing breaches.
-        let dark = window(vec![
-            ("serve_requests", 4),
-            ("serve_tier_full", 4),
-            ("serve_shards_served", 8),
-            ("serve_shards_total", 16),
-        ]);
-        let report = evaluate(&dark, &SloPolicy::default());
-        let names: Vec<&str> = report.breaches().iter().map(|c| c.name).collect();
-        assert_eq!(names, vec!["shard_miss_rate"]);
-        // Unsharded windows (no shard counters at all) stay clean.
-        assert!(evaluate(&window(Vec::new()), &SloPolicy::default()).ok());
     }
 
     #[test]

@@ -26,8 +26,8 @@ for run in 1 2 3 4 5; do
   cargo test -q --no-fail-fast -- --test-threads=8
 done
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> pmm-audit (workspace invariant lint)"
 cargo run --release -q -p pmm-audit
@@ -81,7 +81,7 @@ cargo run --release -q -p pmm-bench --bin serve_load -- --scale tiny \
 echo "==> serve load gate (clean p99/throughput vs recorded BENCH_serve.json; >10% regression fails)"
 cargo run --release -q -p pmm-bench --bin serve_load -- --scale tiny --slo-gate --gate
 
-echo "==> ingest chaos (WAL kill-and-replay, delta serving bit-identical to cold build, shard quarantine + heal)"
+echo "==> ingest chaos (WAL kill-and-replay, delta serving bit-identical to cold build)"
 cargo run --release -q -p pmm-bench --bin ingest_chaos -- --scale tiny
 
 echo "==> ingest chaos must-fail (skipping replay loses acknowledged items; the gate must catch it)"
